@@ -32,9 +32,9 @@ use pbsm_datagen::{sequoia, sequoia::SequoiaConfig, tiger};
 use pbsm_geom::Rect;
 use pbsm_join::inl::inl_join_at;
 use pbsm_join::loader::{build_index, load_relation};
-use pbsm_join::pbsm::pbsm_join_at;
+use pbsm_join::pbsm::pbsm_join;
 use pbsm_join::rtree_join::rtree_join_at;
-use pbsm_join::select::{select_index_at, select_scan_at};
+use pbsm_join::select::{select_index, select_scan};
 use pbsm_join::{JoinConfig, JoinSpec};
 use pbsm_obs::{names, Json};
 use pbsm_storage::{Db, DbConfig, ReplacementPolicy, Snapshot};
@@ -279,15 +279,15 @@ pub fn execute_at(
             window,
         } => {
             let outcome = if *index {
-                select_index_at(snap, relation, window)?
+                select_index(snap.db(), relation, window)?
             } else {
-                select_scan_at(snap, relation, window)?
+                select_scan(snap.db(), relation, window)?
             };
             outcome.oids.hash(&mut hasher);
         }
         ServeQuery::Join { alg, spec } => {
             let outcome = match alg {
-                Algorithm::Pbsm => pbsm_join_at(snap, spec, join_config)?,
+                Algorithm::Pbsm => pbsm_join(snap.db(), spec, join_config)?,
                 Algorithm::Inl => inl_join_at(snap, spec, join_config)?,
                 Algorithm::RtreeJoin => rtree_join_at(snap, spec, join_config)?,
             };

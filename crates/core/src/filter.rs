@@ -16,15 +16,15 @@
 
 use crate::keyptr::{encode_pair, KeyPointer, KEY_PTR_SIZE, OID_PAIR_SIZE};
 use crate::partition::{TileGrid, TileMapScheme};
+use crate::recover::Ckpt;
 use crate::{skew, JoinConfig};
 use pbsm_geom::sweep::{sort_by_xl, sweep_join, SweepStats, Tagged};
 use pbsm_storage::catalog::RelationMeta;
 use pbsm_storage::heap::HeapFile;
-use pbsm_storage::journal::{JournalRecord, PairCkpt};
-use pbsm_storage::record::RecordFile;
+use pbsm_storage::journal::JournalRecord;
+use pbsm_storage::record::{RecordFile, RecordWriter};
 use pbsm_storage::tuple::SpatialTuple;
 use pbsm_storage::{Db, StorageError, StorageResult};
-use std::collections::BTreeMap;
 
 /// Result of partitioning one input.
 pub struct Partitioned {
@@ -183,6 +183,24 @@ pub fn sweep_partition_pair(
     })
 }
 
+/// Joins one loaded partition pair: the plane sweep, or — when dynamic
+/// repartitioning is on and the pair overflows work memory — the skew
+/// handler's recursive split. The one place that makes this choice, for
+/// the sequential and the parallel merge alike.
+pub(crate) fn merge_pair(
+    r: &[KeyPointer],
+    s: &[KeyPointer],
+    config: &JoinConfig,
+    out: &mut Vec<(pbsm_storage::Oid, pbsm_storage::Oid)>,
+) -> SweepStats {
+    let pair_bytes = (r.len() + s.len()) * KEY_PTR_SIZE;
+    if config.dynamic_repartition && pair_bytes > config.work_mem_bytes {
+        skew::merge_with_repartition(r, s, config.work_mem_bytes, out)
+    } else {
+        sweep_partition_pair(r, s, out)
+    }
+}
+
 /// Flushes accumulated sweep tallies into the metrics registry (main
 /// thread only).
 pub(crate) fn report_sweep_stats(stats: SweepStats) {
@@ -190,69 +208,11 @@ pub(crate) fn report_sweep_stats(stats: SweepStats) {
     pbsm_obs::cached_counter!("pbsm.merge.candidates").add(stats.hits);
 }
 
-/// Merges every partition pair, writing candidate OID pairs to a new
-/// record file. Honors the configuration's skew-repartitioning and
-/// parallel-merge extensions.
-pub fn merge_partitions(
-    db: &Db,
-    r_parts: &Partitioned,
-    s_parts: &Partitioned,
-    config: &JoinConfig,
-) -> StorageResult<(RecordFile, u64)> {
-    debug_assert_eq!(r_parts.files.len(), s_parts.files.len());
-    if config.merge_threads > 1 {
-        return crate::parallel::merge_partitions_parallel(db, r_parts, s_parts, config);
-    }
-    let out = RecordFile::create(db.pool(), OID_PAIR_SIZE)?;
-    match merge_into(db, r_parts, s_parts, config, &out) {
-        Ok(candidates) => Ok((out, candidates)),
-        Err(e) => {
-            out.destroy(db.pool());
-            Err(e)
-        }
-    }
-}
-
-fn merge_into(
-    db: &Db,
-    r_parts: &Partitioned,
-    s_parts: &Partitioned,
-    config: &JoinConfig,
-    out: &RecordFile,
-) -> StorageResult<u64> {
-    let mut writer = out.writer(db.pool());
-    let mut candidates = 0u64;
-    let mut stats = SweepStats::default();
-    let mut pairs = Vec::new();
-    for (rf, sf) in r_parts.files.iter().zip(&s_parts.files) {
-        let r = load_partition(db, rf)?;
-        let s = load_partition(db, sf)?;
-        pairs.clear();
-        let pair_bytes = (r.len() + s.len()) * KEY_PTR_SIZE;
-        if config.dynamic_repartition && pair_bytes > config.work_mem_bytes {
-            stats.absorb(skew::merge_with_repartition(
-                &r,
-                &s,
-                config.work_mem_bytes,
-                &mut pairs,
-            ));
-        } else {
-            stats.absorb(sweep_partition_pair(&r, &s, &mut pairs));
-        }
-        candidates += pairs.len() as u64;
-        for (ro, so) in &pairs {
-            writer.push(&encode_pair(*ro, *so))?;
-        }
-    }
-    writer.finish()?;
-    report_sweep_stats(stats);
-    Ok(candidates)
-}
-
-/// Result of the per-pair checkpointed merge used by journaled joins:
-/// one candidate file per partition pair, in pair order.
-pub struct PairMerge {
-    /// Candidate OID-pair files, one per partition pair.
+/// The merge's candidate OID pairs.
+#[derive(Default)]
+pub struct Merged {
+    /// Candidate files in pair order: the plain engine's single file, or
+    /// one per partition pair under a checkpoint context.
     pub files: Vec<RecordFile>,
     /// Raw candidates across all pairs (with replication duplicates).
     pub candidates: u64,
@@ -260,107 +220,134 @@ pub struct PairMerge {
     pub resumed_pairs: u64,
 }
 
-impl PairMerge {
-    /// Drops every pair file. Under a poisoned (crashed) disk the drops
-    /// no-op, which is exactly what keeps checkpoints alive for recovery.
-    pub fn destroy(self, db: &Db) {
-        for f in self.files {
-            f.destroy(db.pool());
-        }
-    }
-}
-
-/// Checkpointed variant of [`merge_partitions`] for journaled joins: each
-/// partition pair's candidates land in their *own* file, flushed and
-/// journaled as a `PairDone` checkpoint the moment the pair completes.
-/// Pairs present in `resume` are not re-swept — their durable candidate
-/// file from the crashed incarnation is reused as-is.
+/// Merges every partition pair into candidate OID-pair files.
 ///
-/// Always sequential (checkpoint order must match journal order), so
-/// `config.merge_threads` is ignored here.
-pub fn merge_partitions_ckpt(
+/// With `ckpt = None` (the plain engine) every pair's candidates go
+/// through one writer into one file, and `config.merge_threads > 1`
+/// sweeps pairs in parallel. With a checkpoint context each pair's
+/// candidates land in their *own* file, flushed and journaled as a
+/// `PairDone` the moment the pair completes; pairs checkpointed by a
+/// crashed incarnation are taken out of `ckpt` and reused as-is, not
+/// re-swept. That mode is always sequential — checkpoint order must
+/// follow journal order — so it ignores `merge_threads`.
+///
+/// On error every file the merge holds is destroyed, reused checkpoints
+/// included.
+pub fn merge_partitions(
     db: &Db,
     r_parts: &Partitioned,
     s_parts: &Partitioned,
     config: &JoinConfig,
-    join_id: u64,
-    resume: &BTreeMap<u32, PairCkpt>,
-) -> StorageResult<PairMerge> {
+    ckpt: Option<&mut Ckpt>,
+) -> StorageResult<Merged> {
     debug_assert_eq!(r_parts.files.len(), s_parts.files.len());
-    let mut out = PairMerge {
-        files: Vec::new(),
-        candidates: 0,
-        resumed_pairs: 0,
+    let mut out = Merged::default();
+    let merged = match ckpt {
+        Some(c) => merge_into(db, r_parts, s_parts, config, Sink::PerPair(c), &mut out),
+        None if config.merge_threads > 1 => {
+            return crate::parallel::merge_partitions_parallel(db, r_parts, s_parts, config);
+        }
+        None => {
+            let file = RecordFile::create(db.pool(), OID_PAIR_SIZE)?;
+            let merged = merge_into(
+                db,
+                r_parts,
+                s_parts,
+                config,
+                Sink::One(file.writer(db.pool())),
+                &mut out,
+            );
+            out.files.push(file);
+            merged
+        }
     };
-    match merge_pairs_into(db, r_parts, s_parts, config, join_id, resume, &mut out) {
+    match merged {
         Ok(()) => Ok(out),
         Err(e) => {
-            out.destroy(db);
+            for f in out.files {
+                f.destroy(db.pool());
+            }
             Err(e)
         }
     }
 }
 
-fn merge_pairs_into(
+/// Where the merge loop writes each pair's candidates.
+enum Sink<'a> {
+    /// The plain engine: one writer over one file.
+    One(RecordWriter<'a>),
+    /// A checkpoint context: one flushed, journaled file per pair.
+    PerPair(&'a mut Ckpt),
+}
+
+/// The per-pair merge loop. Checkpoint files it creates or reuses are
+/// pushed onto `out.files`, so the caller can release them on error.
+fn merge_into(
     db: &Db,
     r_parts: &Partitioned,
     s_parts: &Partitioned,
     config: &JoinConfig,
-    join_id: u64,
-    resume: &BTreeMap<u32, PairCkpt>,
-    out: &mut PairMerge,
+    mut sink: Sink<'_>,
+    out: &mut Merged,
 ) -> StorageResult<()> {
     let mut stats = SweepStats::default();
     let mut pairs = Vec::new();
     for (i, (rf, sf)) in r_parts.files.iter().zip(&s_parts.files).enumerate() {
-        if let Some(ckpt) = resume.get(&(i as u32)) {
-            out.files
-                .push(RecordFile::open(ckpt.file, OID_PAIR_SIZE, ckpt.count));
-            out.candidates += ckpt.count;
-            out.resumed_pairs += 1;
-            pbsm_obs::cached_counter!("pbsm.resume.pairs_skipped").incr();
-            continue;
+        if let Sink::PerPair(c) = &mut sink {
+            if let Some(pc) = c.pairs.remove(&(i as u32)) {
+                out.files
+                    .push(RecordFile::open(pc.file, OID_PAIR_SIZE, pc.count));
+                out.candidates += pc.count;
+                out.resumed_pairs += 1;
+                pbsm_obs::cached_counter!("pbsm.resume.pairs_skipped").incr();
+                continue;
+            }
+            // pbsm-lint: allow(resource-pairing, reason = "pair files outlive this fn as join checkpoints; merge_partitions destroys them on error and the join driver destroys them at JoinEnd")
+            let pair_file = RecordFile::create(db.pool(), OID_PAIR_SIZE)?;
+            out.files.push(pair_file);
         }
-        // pbsm-lint: allow(resource-pairing, reason = "pair files outlive this fn as join checkpoints; merge_partitions_ckpt destroys them on error and the join driver destroys them at JoinEnd")
-        let created = RecordFile::create(db.pool(), OID_PAIR_SIZE)?;
-        out.files.push(created);
-        let pair_file = out
-            .files
-            .last()
-            .ok_or(StorageError::Corrupt("pair file list emptied mid-merge"))?;
         let r = load_partition(db, rf)?;
         let s = load_partition(db, sf)?;
         pairs.clear();
-        let pair_bytes = (r.len() + s.len()) * KEY_PTR_SIZE;
-        if config.dynamic_repartition && pair_bytes > config.work_mem_bytes {
-            stats.absorb(skew::merge_with_repartition(
-                &r,
-                &s,
-                config.work_mem_bytes,
-                &mut pairs,
-            ));
-        } else {
-            stats.absorb(sweep_partition_pair(&r, &s, &mut pairs));
-        }
-        {
-            let mut writer = pair_file.writer(db.pool());
-            for (ro, so) in &pairs {
-                writer.push(&encode_pair(*ro, *so))?;
-            }
-            writer.finish()?;
-        }
+        stats.absorb(merge_pair(&r, &s, config, &mut pairs));
         out.candidates += pairs.len() as u64;
-        // Durability before checkpoint: the journal record must never
-        // claim candidates the disk does not hold.
-        db.pool().flush_file(pair_file.file_id())?;
-        db.pool().journal_append(JournalRecord::PairDone {
-            join_id,
-            pair_index: i as u32,
-            file: pair_file.file_id(),
-            count: pair_file.count(),
-        })?;
+        match &mut sink {
+            Sink::One(w) => write_pairs(w, &pairs)?,
+            Sink::PerPair(c) => {
+                let pair_file = out
+                    .files
+                    .last()
+                    .ok_or(StorageError::Corrupt("pair file list emptied mid-merge"))?;
+                let mut w = pair_file.writer(db.pool());
+                write_pairs(&mut w, &pairs)?;
+                w.finish()?;
+                // Durability before checkpoint: the journal record must
+                // never claim candidates the disk does not hold.
+                db.pool().flush_file(pair_file.file_id())?;
+                db.pool().journal_append(JournalRecord::PairDone {
+                    join_id: c.join_id,
+                    pair_index: i as u32,
+                    file: pair_file.file_id(),
+                    count: pair_file.count(),
+                })?;
+            }
+        }
+    }
+    if let Sink::One(w) = sink {
+        w.finish()?;
     }
     report_sweep_stats(stats);
+    Ok(())
+}
+
+/// Appends candidate OID pairs to a candidate file's writer.
+pub(crate) fn write_pairs(
+    w: &mut RecordWriter<'_>,
+    pairs: &[(pbsm_storage::Oid, pbsm_storage::Oid)],
+) -> StorageResult<()> {
+    for (ro, so) in pairs {
+        w.push(&encode_pair(*ro, *so))?;
+    }
     Ok(())
 }
 
@@ -399,11 +386,14 @@ mod tests {
         crate::testgen::mk_tuples(n, seed, spread, 1, 2.0, 0.0, 8)
     }
 
-    fn setup(p_mem: usize) -> (pbsm_storage::Db, RelationMeta, RelationMeta) {
-        let db = pbsm_storage::Db::new(DbConfig::with_pool_mb(2));
+    fn setup() -> (pbsm_storage::Db, RelationMeta, RelationMeta) {
+        setup_on(DbConfig::with_pool_mb(2))
+    }
+
+    fn setup_on(config: DbConfig) -> (pbsm_storage::Db, RelationMeta, RelationMeta) {
+        let db = pbsm_storage::Db::new(config);
         let r = load_relation(&db, "r", &mk_tuples(800, 3, 50.0), false).unwrap();
         let s = load_relation(&db, "s", &mk_tuples(600, 7, 50.0), false).unwrap();
-        let _ = p_mem;
         (db, r, s)
     }
 
@@ -436,21 +426,21 @@ mod tests {
 
     #[test]
     fn single_partition_filter_matches_brute_force() {
-        let (db, r, s) = setup(1);
+        let (db, r, s) = setup();
         let universe = r.universe.union(&s.universe);
         let grid = TileGrid::new(universe, 64);
         let rp = partition_input(&db, &r, &grid, TileMapScheme::Hash, 1).unwrap();
         let sp = partition_input(&db, &s, &grid, TileMapScheme::Hash, 1).unwrap();
         assert_eq!(rp.input_elements, 800);
         assert_eq!(rp.replicated_elements, 800); // one partition: no replication
-        let (cand, n) = merge_partitions(&db, &rp, &sp, &JoinConfig::default()).unwrap();
-        assert!(n > 0);
-        assert_eq!(read_pairs(&db, &cand), brute_filter(&db, &r, &s));
+        let merged = merge_partitions(&db, &rp, &sp, &JoinConfig::default(), None).unwrap();
+        assert!(merged.candidates > 0);
+        assert_eq!(read_pairs(&db, &merged.files[0]), brute_filter(&db, &r, &s));
     }
 
     #[test]
     fn multi_partition_filter_matches_brute_force() {
-        let (db, r, s) = setup(8);
+        let (db, r, s) = setup();
         let universe = r.universe.union(&s.universe);
         for p in [2usize, 4, 7, 16] {
             for scheme in [TileMapScheme::RoundRobin, TileMapScheme::Hash] {
@@ -458,7 +448,9 @@ mod tests {
                 let rp = partition_input(&db, &r, &grid, scheme, p).unwrap();
                 let sp = partition_input(&db, &s, &grid, scheme, p).unwrap();
                 assert!(rp.replicated_elements >= rp.input_elements);
-                let (cand, _) = merge_partitions(&db, &rp, &sp, &JoinConfig::default()).unwrap();
+                let mut merged =
+                    merge_partitions(&db, &rp, &sp, &JoinConfig::default(), None).unwrap();
+                let cand = merged.files.remove(0);
                 assert_eq!(
                     read_pairs(&db, &cand),
                     brute_filter(&db, &r, &s),
@@ -475,14 +467,64 @@ mod tests {
     fn duplicates_only_from_replication() {
         // With one tile per partition and objects spanning tiles, raw
         // candidates contain duplicates; dedup must fix it.
-        let (db, r, s) = setup(4);
+        let (db, r, s) = setup();
         let universe = r.universe.union(&s.universe);
         let grid = TileGrid::new(universe, 4);
         let rp = partition_input(&db, &r, &grid, TileMapScheme::RoundRobin, 4).unwrap();
         let sp = partition_input(&db, &s, &grid, TileMapScheme::RoundRobin, 4).unwrap();
-        let (cand, raw) = merge_partitions(&db, &rp, &sp, &JoinConfig::default()).unwrap();
-        let deduped = read_pairs(&db, &cand);
-        assert!(raw >= deduped.len() as u64);
+        let merged = merge_partitions(&db, &rp, &sp, &JoinConfig::default(), None).unwrap();
+        let deduped = read_pairs(&db, &merged.files[0]);
+        assert!(merged.candidates >= deduped.len() as u64);
         assert_eq!(deduped, brute_filter(&db, &r, &s));
+    }
+
+    /// The invariant crash resume depends on: concatenated in pair order,
+    /// the per-pair checkpoint files hold exactly the bytes the plain
+    /// merge writes to its single file — so a resumed refinement sort
+    /// sees the stream the crashed incarnation's would have. One `Db` for
+    /// both merges, because the OIDs carry file ids and the journal shifts
+    /// them.
+    #[test]
+    fn checkpointed_merge_concatenates_to_the_plain_stream() {
+        let (db, r, s) = setup_on(DbConfig {
+            journal: true,
+            ..DbConfig::with_pool_mb(2)
+        });
+        let grid = TileGrid::new(r.universe.union(&s.universe), 64);
+        for p in [1usize, 2, 4, 7] {
+            let rp = partition_input(&db, &r, &grid, TileMapScheme::Hash, p).unwrap();
+            let sp = partition_input(&db, &s, &grid, TileMapScheme::Hash, p).unwrap();
+            let largest_pair = (0..p)
+                .map(|i| (rp.files[i].count() + sp.files[i].count()) as usize * KEY_PTR_SIZE)
+                .max()
+                .unwrap();
+            for (dynamic_repartition, work_mem_bytes) in [(false, 1 << 20), (true, 4096)] {
+                // The small budget must really send a pair through the
+                // skew handler.
+                assert_eq!(largest_pair > work_mem_bytes, dynamic_repartition, "p={p}");
+                let config = JoinConfig {
+                    dynamic_repartition,
+                    work_mem_bytes,
+                    ..JoinConfig::default()
+                };
+                let plain = merge_partitions(&db, &rp, &sp, &config, None).unwrap();
+                let mut ckpt = Ckpt::new(7, None);
+                let per_pair = merge_partitions(&db, &rp, &sp, &config, Some(&mut ckpt)).unwrap();
+                assert_eq!(per_pair.files.len(), p);
+                assert_eq!(per_pair.candidates, plain.candidates);
+                let stream = concat_candidates(&db, &per_pair.files).unwrap();
+                assert_eq!(
+                    stream.read_all(db.pool()).unwrap(),
+                    plain.files[0].read_all(db.pool()).unwrap(),
+                    "p={p} dynamic_repartition={dynamic_repartition}"
+                );
+                stream.destroy(db.pool());
+                for f in plain.files.into_iter().chain(per_pair.files) {
+                    f.destroy(db.pool());
+                }
+            }
+            rp.destroy(&db);
+            sp.destroy(&db);
+        }
     }
 }

@@ -12,8 +12,10 @@
 //! sequentially afterwards. `parallel_scaling` in the bench crate measures
 //! the speedup.
 
-use crate::filter::{load_partition, report_sweep_stats, sweep_partition_pair, Partitioned};
-use crate::keyptr::{encode_pair, KeyPointer, OID_PAIR_SIZE};
+use crate::filter::{
+    load_partition, merge_pair, report_sweep_stats, write_pairs, Merged, Partitioned,
+};
+use crate::keyptr::{KeyPointer, OID_PAIR_SIZE};
 use crate::JoinConfig;
 use pbsm_geom::sweep::SweepStats;
 use pbsm_storage::lockcheck::{self, LockId};
@@ -21,14 +23,14 @@ use pbsm_storage::record::RecordFile;
 use pbsm_storage::{Db, Oid, StorageResult};
 use std::sync::Mutex;
 
-/// Merges all partition pairs using `config.merge_threads` workers.
-/// Returns the candidate file and the raw (pre-dedup) candidate count.
+/// Merges all partition pairs using `config.merge_threads` workers into
+/// one candidate file, byte-identical to the sequential merge's.
 pub fn merge_partitions_parallel(
     db: &Db,
     r_parts: &Partitioned,
     s_parts: &Partitioned,
     config: &JoinConfig,
-) -> StorageResult<(RecordFile, u64)> {
+) -> StorageResult<Merged> {
     let threads = config.merge_threads.max(1);
     // Phase 1 (sequential I/O): load every partition pair.
     let mut pairs_in: Vec<(Vec<KeyPointer>, Vec<KeyPointer>)> =
@@ -47,8 +49,6 @@ pub fn merge_partitions_parallel(
     {
         let next = Mutex::new(0usize);
         let slots = Mutex::new(&mut results);
-        let use_repartition = config.dynamic_repartition;
-        let work_mem = config.work_mem_bytes;
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| loop {
@@ -66,13 +66,7 @@ pub fn merge_partitions_parallel(
                     };
                     let (r, s) = &pairs_in[i];
                     let mut out = Vec::new();
-                    let stats = if use_repartition
-                        && (r.len() + s.len()) * crate::keyptr::KEY_PTR_SIZE > work_mem
-                    {
-                        crate::skew::merge_with_repartition(r, s, work_mem, &mut out)
-                    } else {
-                        sweep_partition_pair(r, s, &mut out)
-                    };
+                    let stats = merge_pair(r, s, config, &mut out);
                     lockcheck::lock(&slots, LockId::ParallelSlots)[i] = (out, stats);
                 });
             }
@@ -87,7 +81,11 @@ pub fn merge_partitions_parallel(
     match write_candidates(db, &results, &out) {
         Ok((candidates, stats)) => {
             report_sweep_stats(stats);
-            Ok((out, candidates))
+            Ok(Merged {
+                files: vec![out],
+                candidates,
+                ..Merged::default()
+            })
         }
         Err(e) => {
             out.destroy(db.pool());
@@ -107,9 +105,7 @@ fn write_candidates(
     for (part, part_stats) in results {
         candidates += part.len() as u64;
         stats.absorb(*part_stats);
-        for (ro, so) in part {
-            writer.push(&encode_pair(*ro, *so))?;
-        }
+        write_pairs(&mut writer, part)?;
     }
     writer.finish()?;
     Ok((candidates, stats))
@@ -144,11 +140,11 @@ mod tests {
             merge_threads: 4,
             ..JoinConfig::default()
         };
-        let (seq_file, seq_n) = merge_partitions(&db, &rp, &sp, &seq_cfg).unwrap();
-        let (par_file, par_n) = merge_partitions(&db, &rp, &sp, &par_cfg).unwrap();
-        assert_eq!(seq_n, par_n);
-        let seq_bytes = seq_file.read_all(db.pool()).unwrap();
-        let par_bytes = par_file.read_all(db.pool()).unwrap();
+        let seq = merge_partitions(&db, &rp, &sp, &seq_cfg, None).unwrap();
+        let par = merge_partitions(&db, &rp, &sp, &par_cfg, None).unwrap();
+        assert_eq!(seq.candidates, par.candidates);
+        let seq_bytes = seq.files[0].read_all(db.pool()).unwrap();
+        let par_bytes = par.files[0].read_all(db.pool()).unwrap();
         assert_eq!(seq_bytes, par_bytes, "parallel merge must be deterministic");
     }
 }

@@ -4,17 +4,16 @@
 //! <left>", "Partition <right>", "Merge Partitions", "Refinement Step".
 
 use crate::cost::CostTracker;
-use crate::filter::{concat_candidates, merge_partitions, merge_partitions_ckpt, partition_input};
-use crate::keyptr::{KEY_PTR_SIZE, OID_PAIR_SIZE};
+use crate::filter::{concat_candidates, merge_partitions, partition_input};
+use crate::keyptr::KEY_PTR_SIZE;
 use crate::partition::{partition_count, TileGrid};
-use crate::recover::{degraded_work_mem, join_fingerprint};
-use crate::refine::{refinement_step, refinement_step_ckpt};
+use crate::recover::{degraded_work_mem, join_fingerprint, Ckpt};
+use crate::refine::refinement_step;
 use crate::{JoinConfig, JoinOutcome, JoinSpec, JoinStats};
 use pbsm_storage::catalog::RelationMeta;
-use pbsm_storage::journal::{JoinResume, JournalRecord, PairCkpt, RunCkpt};
+use pbsm_storage::journal::{JoinResume, JournalRecord};
 use pbsm_storage::record::RecordFile;
-use pbsm_storage::{Db, Snapshot, StorageResult};
-use std::collections::BTreeMap;
+use pbsm_storage::{Db, StorageError, StorageResult};
 
 /// Runs the Partition Based Spatial-Merge join.
 ///
@@ -26,19 +25,6 @@ use std::collections::BTreeMap;
 /// other error, and `DiskFull` past the budget, surfaces unchanged.
 pub fn pbsm_join(db: &Db, spec: &JoinSpec, config: &JoinConfig) -> StorageResult<JoinOutcome> {
     pbsm_join_resume(db, spec, config, None)
-}
-
-/// [`pbsm_join`] against a read snapshot — the serving-thread entry
-/// point. PBSM reads the catalog, never writes it; its partition and
-/// candidate temp files are private to the running query, so concurrent
-/// joins over the shared pool do not interact. Never resumes from
-/// checkpoints (serving instances run unjournaled).
-pub fn pbsm_join_at(
-    snap: Snapshot<'_>,
-    spec: &JoinSpec,
-    config: &JoinConfig,
-) -> StorageResult<JoinOutcome> {
-    pbsm_join_resume(snap.db(), spec, config, None)
 }
 
 /// [`pbsm_join`], optionally resuming from crash checkpoints surfaced by
@@ -81,7 +67,13 @@ pub fn pbsm_join_resume(
         // failed attempt used.
         let p = partition_count(left.cardinality, right.cardinality, KEY_PTR_SIZE, work_mem)
             .max(min_partitions);
-        let outcome = if db.pool().journal_enabled() {
+        // Degraded attempts run the whole pipeline (including the merge's
+        // dynamic-repartition threshold) under the reduced work memory.
+        let attempt_config = JoinConfig {
+            work_mem_bytes: work_mem,
+            ..config.clone()
+        };
+        let mut ckpt = db.pool().journal_enabled().then(|| {
             let fp = join_fingerprint(
                 &left.name,
                 &right.name,
@@ -96,19 +88,25 @@ pub fn pbsm_join_resume(
             // only when the restarted plan matches the journaled one — a
             // degraded re-run has a different fingerprint by construction
             // (work memory and partition count both feed it).
-            let accepted = match resume.take() {
+            match resume.take() {
                 Some(r) if attempt == 1 && r.fingerprint == fp && r.partitions == p as u32 => {
-                    Some(r)
+                    pbsm_obs::cached_counter!("pbsm.resume.joins").incr();
+                    Ckpt::new(fp, Some(r))
                 }
-                other => {
-                    discard_resume(db, other);
-                    None
+                rejected => {
+                    Ckpt::new(fp, rejected).destroy(db);
+                    Ckpt::new(fp, None)
                 }
-            };
-            pbsm_attempt_journaled(db, spec, config, &left, &right, work_mem, p, fp, accepted)
-        } else {
-            pbsm_attempt(db, spec, config, &left, &right, work_mem, p)
-        };
+            }
+        });
+        let outcome = pbsm_attempt(db, spec, &attempt_config, &left, &right, p, ckpt.as_mut());
+        if outcome.is_err() {
+            // The one cleanup path for checkpoints: whatever no stage has
+            // taken over yet is released before a retry or the error.
+            if let Some(c) = ckpt {
+                c.destroy(db);
+            }
+        }
         match outcome {
             Err(e) if e.is_disk_full() && attempt < max_attempts => {
                 pbsm_obs::cached_counter!("pbsm.recover.enospc_retries").incr();
@@ -156,38 +154,33 @@ pub fn pbsm_join_resume(
     }
 }
 
-/// Destroys the files behind rejected checkpoints. Each destroy journals a
-/// `TempDropped`, so the journal itself records the invalidation.
-fn discard_resume(db: &Db, resume: Option<&JoinResume>) {
-    let Some(r) = resume else { return };
-    for pc in &r.pairs {
-        RecordFile::open(pc.file, OID_PAIR_SIZE, pc.count).destroy(db.pool());
-    }
-    for rc in &r.runs {
-        RecordFile::open(rc.file, OID_PAIR_SIZE, rc.count).destroy(db.pool());
-    }
-}
-
-/// One full filter + refinement pass. Every temp file created before an
-/// error is destroyed on the way out, so a degraded re-run (and the hard
-/// capacity budget) starts from a clean disk.
+/// One full filter + refinement pass under `config` (already carrying
+/// the attempt's work memory).
+///
+/// `ckpt` is `Some` exactly when the database journals. The attempt then
+/// brackets its work in `JoinBegin`/`JoinEnd`, the merge writes each
+/// partition pair to its own checkpointed file (reusing pairs a crashed
+/// incarnation finished), the pair files are concatenated in pair order
+/// for the refinement sort — byte-identical to the plain merge's single
+/// file — and the sort checkpoints its runs. Stages take over the
+/// checkpoints they consume (see [`Ckpt`]); the rest stay the caller's.
+/// Every temp file the attempt itself creates is destroyed before an
+/// error returns, so a degraded re-run (and the hard capacity budget)
+/// starts from a clean disk.
 fn pbsm_attempt(
     db: &Db,
     spec: &JoinSpec,
     config: &JoinConfig,
     left: &RelationMeta,
     right: &RelationMeta,
-    work_mem: usize,
     p: usize,
+    mut ckpt: Option<&mut Ckpt>,
 ) -> StorageResult<JoinOutcome> {
     let mut tracker = CostTracker::new();
     let mut stats = JoinStats::default();
-    // Degraded attempts run the whole pipeline (including the merge's
-    // dynamic-repartition threshold) under the reduced work memory.
-    let config = &JoinConfig {
-        work_mem_bytes: work_mem,
-        ..config.clone()
-    };
+    if let Some(c) = ckpt.as_deref_mut() {
+        c.begin(db, p)?;
+    }
 
     // The grid uses at least the configured tile count ("NT is greater
     // than or equal to P").
@@ -196,7 +189,8 @@ fn pbsm_attempt(
     stats.partitions = p;
     stats.tiles = grid.num_tiles() as usize;
 
-    // Filter step, phase 1: partition both inputs.
+    // Filter step, phase 1: partition both inputs (never checkpointed —
+    // partition files are cheap to rebuild relative to sweeps and sorts).
     let left_parts = tracker.run(&format!("partition {}", left.name), || {
         partition_input(db, left, &grid, config.tile_map, p)
     })?;
@@ -214,36 +208,56 @@ fn pbsm_attempt(
 
     // Filter step, phase 2: plane-sweep merge of each partition pair.
     let merged = tracker.run("merge partitions", || {
-        merge_partitions(db, &left_parts, &right_parts, config)
+        merge_partitions(db, &left_parts, &right_parts, config, ckpt.as_deref_mut())
     });
     left_parts.destroy(db);
     right_parts.destroy(db);
-    let (candidates, raw_candidates) = merged?;
-    stats.candidates = raw_candidates;
+    let merged = merged?;
+    stats.candidates = merged.candidates;
+    stats.resumed_pairs = merged.resumed_pairs;
 
-    // Refinement step.
-    let refined = match tracker.run("refinement step", || {
-        refinement_step(
-            db,
-            &candidates,
-            left,
-            right,
-            spec.predicate,
-            &config.refine,
-            work_mem,
-        )
-    }) {
-        Ok(refined) => refined,
-        Err(e) => {
-            candidates.destroy(db.pool());
-            return Err(e);
+    // Refinement step over one candidate stream, the last file in
+    // `candidates`: the plain merge's single file, or the pair files
+    // concatenated in pair order — byte-identical to it, so the skip
+    // offsets of resumed sort runs stay valid.
+    let mut candidates = merged.files;
+    if let Some(c) = ckpt.as_deref() {
+        match concat_candidates(db, &candidates) {
+            Ok(stream) => candidates.push(stream),
+            Err(e) => {
+                release_candidates(db, candidates, false);
+                return Err(e);
+            }
         }
+        stats.resumed_runs = c.runs.len() as u64;
+        if !c.runs.is_empty() {
+            pbsm_obs::cached_counter!("pbsm.resume.runs_skipped").add(c.runs.len() as u64);
+        }
+    }
+    let refined = match candidates.last() {
+        Some(stream) => tracker.run("refinement step", || {
+            refinement_step(
+                db,
+                stream,
+                left,
+                right,
+                spec.predicate,
+                &config.refine,
+                config.work_mem_bytes,
+                ckpt.as_deref_mut(),
+            )
+        }),
+        None => Err(StorageError::Corrupt("merge produced no candidate file")),
     };
-    if crate::telemetry::force_temp_leak() {
-        // Test hook: leak the candidate file so the leak sentinel has a
-        // genuine monotonic drift to detect.
-    } else {
-        candidates.destroy(db.pool());
+    release_candidates(
+        db,
+        candidates,
+        refined.is_ok() && crate::telemetry::force_temp_leak(),
+    );
+    let refined = refined?;
+    if let Some(c) = ckpt {
+        db.pool()
+            .journal_append(JournalRecord::JoinEnd { join_id: c.join_id })?;
     }
     stats.unique_candidates = refined.unique_candidates;
     stats.results = refined.pairs.len() as u64;
@@ -256,184 +270,20 @@ fn pbsm_attempt(
     })
 }
 
-/// One journaled filter + refinement pass. Structure mirrors
-/// [`pbsm_attempt`], with three differences: the attempt brackets its work
-/// in `JoinBegin`/`JoinEnd` records, each partition pair's candidates go to
-/// their own flushed + checkpointed file (merged into one stream only for
-/// the refinement sort, byte-identical to the sequential merge output), and
-/// refinement sort runs are checkpointed as they complete. `accepted`
-/// checkpoints (already validated against this attempt's fingerprint) are
-/// re-journaled under the fresh `JoinBegin` *before* any expensive work, so
-/// a second crash mid-partitioning still finds them.
-#[allow(clippy::too_many_arguments)]
-fn pbsm_attempt_journaled(
-    db: &Db,
-    spec: &JoinSpec,
-    config: &JoinConfig,
-    left: &RelationMeta,
-    right: &RelationMeta,
-    work_mem: usize,
-    p: usize,
-    fp: u64,
-    accepted: Option<&JoinResume>,
-) -> StorageResult<JoinOutcome> {
-    let mut tracker = CostTracker::new();
-    let mut stats = JoinStats::default();
-    let config = &JoinConfig {
-        work_mem_bytes: work_mem,
-        ..config.clone()
-    };
-
-    db.pool().journal_append(JournalRecord::JoinBegin {
-        join_id: fp,
-        fingerprint: fp,
-        partitions: p as u32,
-    })?;
-    let mut pair_ckpts: BTreeMap<u32, PairCkpt> = BTreeMap::new();
-    let mut run_ckpts: Vec<RunCkpt> = Vec::new();
-    if let Some(r) = accepted {
-        pbsm_obs::cached_counter!("pbsm.resume.joins").incr();
-        for pc in &r.pairs {
-            db.pool().journal_append(JournalRecord::PairDone {
-                join_id: fp,
-                pair_index: pc.index,
-                file: pc.file,
-                count: pc.count,
-            })?;
-            pair_ckpts.insert(pc.index, *pc);
-        }
-        // Run checkpoints are sound only when *every* pair was
-        // checkpointed: the refinement input is the concatenation of all
-        // pair files in index order, so one re-swept pair would shift the
-        // byte stream under the resumed runs' skip offsets.
-        if r.pairs.len() == p {
-            for rc in &r.runs {
-                db.pool().journal_append(JournalRecord::RunDone {
-                    join_id: fp,
-                    run_index: rc.index,
-                    file: rc.file,
-                    count: rc.count,
-                })?;
-                run_ckpts.push(*rc);
-            }
-        } else {
-            for rc in &r.runs {
-                RecordFile::open(rc.file, OID_PAIR_SIZE, rc.count).destroy(db.pool());
-            }
+/// Destroys an attempt's candidate files, the refinement input (the last)
+/// first. `leak_input` is a test hook: it leaks the refinement input so
+/// the leak sentinel has a genuine monotonic drift to detect (under a
+/// journal the skipped `TempDropped` also leaves the intent open, so the
+/// journal-length leak axis drifts alongside live pages).
+fn release_candidates(db: &Db, mut files: Vec<RecordFile>, leak_input: bool) {
+    if let Some(input) = files.pop() {
+        if !leak_input {
+            input.destroy(db.pool());
         }
     }
-    // While the checkpoint files are only referenced by `pair_ckpts` /
-    // `run_ckpts`, an early error must release them here; once handed to
-    // the merge / refinement they clean up on their own error paths.
-    let drop_ckpts = |db: &Db, pairs: &BTreeMap<u32, PairCkpt>, runs: &[RunCkpt]| {
-        for pc in pairs.values() {
-            RecordFile::open(pc.file, OID_PAIR_SIZE, pc.count).destroy(db.pool());
-        }
-        for rc in runs {
-            RecordFile::open(rc.file, OID_PAIR_SIZE, rc.count).destroy(db.pool());
-        }
-    };
-
-    let universe = left.universe.union(&right.universe);
-    let grid = TileGrid::new(universe, config.num_tiles.max(p));
-    stats.partitions = p;
-    stats.tiles = grid.num_tiles() as usize;
-
-    // Filter step, phase 1: partition both inputs (never checkpointed —
-    // partition files are cheap to rebuild relative to sweeps and sorts).
-    let left_parts = match tracker.run(&format!("partition {}", left.name), || {
-        partition_input(db, left, &grid, config.tile_map, p)
-    }) {
-        Ok(parts) => parts,
-        Err(e) => {
-            drop_ckpts(db, &pair_ckpts, &run_ckpts);
-            return Err(e);
-        }
-    };
-    let right_parts = match tracker.run(&format!("partition {}", right.name), || {
-        partition_input(db, right, &grid, config.tile_map, p)
-    }) {
-        Ok(parts) => parts,
-        Err(e) => {
-            left_parts.destroy(db);
-            drop_ckpts(db, &pair_ckpts, &run_ckpts);
-            return Err(e);
-        }
-    };
-    stats.input_elements = left_parts.input_elements + right_parts.input_elements;
-    stats.replicated_elements = left_parts.replicated_elements + right_parts.replicated_elements;
-
-    // Filter step, phase 2: sweep each pair into its own checkpointed
-    // candidate file (resumed pairs are skipped inside).
-    let merged = tracker.run("merge partitions", || {
-        merge_partitions_ckpt(db, &left_parts, &right_parts, config, fp, &pair_ckpts)
-    });
-    left_parts.destroy(db);
-    right_parts.destroy(db);
-    let merged = match merged {
-        Ok(m) => m,
-        Err(e) => {
-            // merge_partitions_ckpt destroyed every pair file (resumed
-            // ones included); only the run checkpoints are still ours.
-            drop_ckpts(db, &BTreeMap::new(), &run_ckpts);
-            return Err(e);
-        }
-    };
-    stats.candidates = merged.candidates;
-    stats.resumed_pairs = merged.resumed_pairs;
-
-    // Refinement step over the concatenated candidate stream.
-    let candidates = match concat_candidates(db, &merged.files) {
-        Ok(c) => c,
-        Err(e) => {
-            merged.destroy(db);
-            drop_ckpts(db, &BTreeMap::new(), &run_ckpts);
-            return Err(e);
-        }
-    };
-    stats.resumed_runs = run_ckpts.len() as u64;
-    if !run_ckpts.is_empty() {
-        pbsm_obs::cached_counter!("pbsm.resume.runs_skipped").add(run_ckpts.len() as u64);
+    for f in files {
+        f.destroy(db.pool());
     }
-    let refined = match tracker.run("refinement step", || {
-        refinement_step_ckpt(
-            db,
-            &candidates,
-            left,
-            right,
-            spec.predicate,
-            &config.refine,
-            work_mem,
-            Some((fp, &run_ckpts)),
-        )
-    }) {
-        Ok(refined) => refined,
-        Err(e) => {
-            // The checkpointed sort destroyed all runs (resumed included).
-            candidates.destroy(db.pool());
-            merged.destroy(db);
-            return Err(e);
-        }
-    };
-    if crate::telemetry::force_temp_leak() {
-        // Test hook: leak the candidate file (see pbsm_attempt). The
-        // skipped TempDropped also leaves the intent open, so the
-        // journal-length leak axis drifts alongside live pages.
-    } else {
-        candidates.destroy(db.pool());
-    }
-    merged.destroy(db);
-    db.pool()
-        .journal_append(JournalRecord::JoinEnd { join_id: fp })?;
-    stats.unique_candidates = refined.unique_candidates;
-    stats.results = refined.pairs.len() as u64;
-
-    Ok(JoinOutcome {
-        pairs: refined.pairs,
-        report: tracker.finish(),
-        stats,
-        profile: None,
-    })
 }
 
 #[cfg(test)]

@@ -10,6 +10,16 @@
 //! halved, and the partition floor is doubled, so the retry spills smaller
 //! files in more pieces. Attempts are bounded; when they run out, the last
 //! `DiskFull` error surfaces unchanged as a clean typed error.
+//!
+//! Crash recovery's side lives here too: the plan fingerprint a resumed
+//! join must match ([`join_fingerprint`]) and the checkpoint context a
+//! journaled attempt carries through the pipeline ([`Ckpt`]).
+
+use crate::keyptr::OID_PAIR_SIZE;
+use pbsm_storage::journal::{JoinResume, JournalRecord, PairCkpt, RunCkpt};
+use pbsm_storage::record::RecordFile;
+use pbsm_storage::{Db, StorageResult};
+use std::collections::BTreeMap;
 
 /// Bounds the ENOSPC degradation loop in [`crate::pbsm::pbsm_join`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,6 +87,91 @@ pub fn join_fingerprint(
     eat(&(work_mem as u64).to_le_bytes());
     eat(&(num_tiles as u64).to_le_bytes());
     h
+}
+
+/// Crash-checkpoint context of one journaled PBSM attempt: the id its
+/// journal records carry, plus the accepted checkpoints it still owns.
+///
+/// A stage that takes over a checkpoint removes it from here — the merge
+/// each pair it reuses, the refinement sort all runs — and releases it on
+/// its own error path. So after a failed attempt, what is left is exactly
+/// what [`Ckpt::destroy`] must release.
+#[derive(Debug, Default)]
+pub struct Ckpt {
+    /// Join id of the attempt's `JoinBegin` (equal to its fingerprint).
+    pub(crate) join_id: u64,
+    /// Accepted partition-pair checkpoints, by pair index.
+    pub(crate) pairs: BTreeMap<u32, PairCkpt>,
+    /// Accepted refinement sort-run checkpoints, in run-index order.
+    pub(crate) runs: Vec<RunCkpt>,
+}
+
+impl Ckpt {
+    /// A context for the attempt `join_id`, owning the checkpoints of
+    /// `resume` (already validated against that attempt's plan).
+    pub fn new(join_id: u64, resume: Option<&JoinResume>) -> Self {
+        let mut ckpt = Ckpt {
+            join_id,
+            ..Ckpt::default()
+        };
+        if let Some(r) = resume {
+            ckpt.pairs = r.pairs.iter().map(|pc| (pc.index, *pc)).collect();
+            ckpt.runs = r.runs.clone();
+        }
+        ckpt
+    }
+
+    /// Opens the attempt in the journal: `JoinBegin`, then every accepted
+    /// checkpoint re-journaled under it *before* any expensive work, so a
+    /// second crash mid-partitioning still finds them.
+    pub(crate) fn begin(&mut self, db: &Db, partitions: usize) -> StorageResult<()> {
+        let pool = db.pool();
+        pool.journal_append(JournalRecord::JoinBegin {
+            join_id: self.join_id,
+            fingerprint: self.join_id,
+            partitions: partitions as u32,
+        })?;
+        for pc in self.pairs.values() {
+            pool.journal_append(JournalRecord::PairDone {
+                join_id: self.join_id,
+                pair_index: pc.index,
+                file: pc.file,
+                count: pc.count,
+            })?;
+        }
+        // Run checkpoints are sound only when *every* pair was
+        // checkpointed: the refinement input is the concatenation of all
+        // pair files in index order, so one re-swept pair would shift the
+        // byte stream under the resumed runs' skip offsets.
+        if self.pairs.len() == partitions {
+            for rc in &self.runs {
+                pool.journal_append(JournalRecord::RunDone {
+                    join_id: self.join_id,
+                    run_index: rc.index,
+                    file: rc.file,
+                    count: rc.count,
+                })?;
+            }
+        } else {
+            for rc in self.runs.drain(..) {
+                RecordFile::open(rc.file, OID_PAIR_SIZE, rc.count).destroy(pool);
+            }
+        }
+        Ok(())
+    }
+
+    /// Destroys every checkpoint file still owned here. Each destroy
+    /// journals a `TempDropped`, so the journal itself records the
+    /// invalidation; under a crashed disk the drops no-op, which keeps the
+    /// checkpoints alive for the next recovery.
+    pub fn destroy(self, db: &Db) {
+        for pc in self.pairs.into_values() {
+            RecordFile::open(pc.file, OID_PAIR_SIZE, pc.count).destroy(db.pool());
+        }
+        for rc in self.runs {
+            RecordFile::open(rc.file, OID_PAIR_SIZE, rc.count).destroy(db.pool());
+        }
+    }
 }
 
 #[cfg(test)]

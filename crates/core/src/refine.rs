@@ -11,12 +11,13 @@
 //! determine whether they satisfy the join condition."
 
 use crate::keyptr::{cmp_pair_bytes, decode_pair, OID_PAIR_SIZE};
+use crate::recover::Ckpt;
 use pbsm_geom::predicates::{evaluate, RefineOptions, SpatialPredicate};
 use pbsm_geom::Geometry;
 use pbsm_storage::catalog::RelationMeta;
 use pbsm_storage::extsort::{external_sort_ckpt, SortCheckpoint};
 use pbsm_storage::heap::HeapFile;
-use pbsm_storage::journal::{JournalRecord, RunCkpt};
+use pbsm_storage::journal::JournalRecord;
 use pbsm_storage::record::RecordFile;
 use pbsm_storage::tuple::SpatialTuple;
 use pbsm_storage::{Db, Oid, StorageError, StorageResult};
@@ -34,6 +35,14 @@ pub struct RefineOutcome {
 ///
 /// `left`/`right` are the relations the OIDs refer to; `predicate` is
 /// evaluated as `predicate(left tuple, right tuple)`.
+///
+/// With a checkpoint context the candidate sort is crash-checkpointed: the
+/// sort takes over every run left in `ckpt` (reusing them and skipping the
+/// input records they hold), and journals each newly completed run as a
+/// `RunDone` so a later crash can resume from it. The refinement scan
+/// itself is not checkpointed — it is a pure read over the sorted file and
+/// simply re-runs after a crash.
+#[allow(clippy::too_many_arguments)]
 pub fn refinement_step(
     db: &Db,
     candidates: &RecordFile,
@@ -42,56 +51,35 @@ pub fn refinement_step(
     predicate: SpatialPredicate,
     opts: &RefineOptions,
     work_mem: usize,
+    ckpt: Option<&mut Ckpt>,
 ) -> StorageResult<RefineOutcome> {
-    refinement_step_ckpt(db, candidates, left, right, predicate, opts, work_mem, None)
-}
-
-/// [`refinement_step`] with optional crash checkpointing of the candidate
-/// sort. With `ckpt = Some((join_id, runs))`, durable sort runs recovered
-/// from the journal are reused (their input records are skipped), and each
-/// newly completed run is journaled as a `RunDone` so a later crash can
-/// resume from it. The refinement scan itself is not checkpointed — it is
-/// a pure read over the sorted file and simply re-runs after a crash.
-#[allow(clippy::too_many_arguments)]
-pub fn refinement_step_ckpt(
-    db: &Db,
-    candidates: &RecordFile,
-    left: &RelationMeta,
-    right: &RelationMeta,
-    predicate: SpatialPredicate,
-    opts: &RefineOptions,
-    work_mem: usize,
-    ckpt: Option<(u64, &[RunCkpt])>,
-) -> StorageResult<RefineOutcome> {
-    // Sort by (OID_R, OID_S), eliminating duplicates during the sort.
-    let sorted = match ckpt {
-        None => external_sort_ckpt(db.pool(), candidates, work_mem, cmp_pair_bytes, true, None)?,
-        Some((join_id, runs)) => {
-            let resume_runs: Vec<RecordFile> = runs
-                .iter()
-                .map(|r| RecordFile::open(r.file, OID_PAIR_SIZE, r.count))
-                .collect();
-            let mut on_run = |idx: u32, run: &RecordFile| {
-                db.pool().journal_append(JournalRecord::RunDone {
-                    join_id,
-                    run_index: idx,
-                    file: run.file_id(),
-                    count: run.count(),
-                })
-            };
-            external_sort_ckpt(
-                db.pool(),
-                candidates,
-                work_mem,
-                cmp_pair_bytes,
-                true,
-                Some(SortCheckpoint {
-                    resume_runs,
-                    on_run: &mut on_run,
-                }),
-            )?
-        }
+    let join_id = ckpt.as_ref().map_or(0, |c| c.join_id);
+    let mut on_run = |idx: u32, run: &RecordFile| {
+        db.pool().journal_append(JournalRecord::RunDone {
+            join_id,
+            run_index: idx,
+            file: run.file_id(),
+            count: run.count(),
+        })
     };
+    // The sort owns the resumed runs from here on: it destroys them on
+    // error, and once merged.
+    let sort_ckpt = ckpt.map(|c| SortCheckpoint {
+        resume_runs: std::mem::take(&mut c.runs)
+            .into_iter()
+            .map(|r| RecordFile::open(r.file, OID_PAIR_SIZE, r.count))
+            .collect(),
+        on_run: &mut on_run,
+    });
+    // Sort by (OID_R, OID_S), eliminating duplicates during the sort.
+    let sorted = external_sort_ckpt(
+        db.pool(),
+        candidates,
+        work_mem,
+        cmp_pair_bytes,
+        true,
+        sort_ckpt,
+    )?;
     let unique_candidates = sorted.count();
     pbsm_obs::cached_counter!("pbsm.refine.raw_candidates").add(candidates.count());
     pbsm_obs::cached_counter!("pbsm.refine.unique_candidates").add(unique_candidates);
@@ -307,15 +295,17 @@ mod tests {
         let grid = TileGrid::new(r.universe.union(&s.universe), 256);
         let rp = partition_input(&db, &r, &grid, TileMapScheme::Hash, 4).unwrap();
         let sp = partition_input(&db, &s, &grid, TileMapScheme::Hash, 4).unwrap();
-        let (cand, _) = merge_partitions(&db, &rp, &sp, &JoinConfig::default()).unwrap();
+        let merged = merge_partitions(&db, &rp, &sp, &JoinConfig::default(), None).unwrap();
+        let cand = &merged.files[0];
         let outcome = refinement_step(
             &db,
-            &cand,
+            cand,
             &r,
             &s,
             SpatialPredicate::Intersects,
             &RefineOptions::default(),
             1 << 20,
+            None,
         )
         .unwrap();
         let want = brute_exact(&db, &r, &s, SpatialPredicate::Intersects);
@@ -333,15 +323,17 @@ mod tests {
         let grid = TileGrid::new(r.universe.union(&s.universe), 64);
         let rp = partition_input(&db, &r, &grid, TileMapScheme::RoundRobin, 6).unwrap();
         let sp = partition_input(&db, &s, &grid, TileMapScheme::RoundRobin, 6).unwrap();
-        let (cand, _) = merge_partitions(&db, &rp, &sp, &JoinConfig::default()).unwrap();
+        let merged = merge_partitions(&db, &rp, &sp, &JoinConfig::default(), None).unwrap();
+        let cand = &merged.files[0];
         let outcome = refinement_step(
             &db,
-            &cand,
+            cand,
             &r,
             &s,
             SpatialPredicate::Intersects,
             &RefineOptions::default(),
             130 * 1024, // drives r_budget to its 64 KiB floor
+            None,
         )
         .unwrap();
         assert_eq!(
@@ -358,10 +350,11 @@ mod tests {
         let grid = TileGrid::new(r.universe.union(&s.universe), 64);
         let rp = partition_input(&db, &r, &grid, TileMapScheme::Hash, 2).unwrap();
         let sp = partition_input(&db, &s, &grid, TileMapScheme::Hash, 2).unwrap();
-        let (cand, _) = merge_partitions(&db, &rp, &sp, &JoinConfig::default()).unwrap();
+        let merged = merge_partitions(&db, &rp, &sp, &JoinConfig::default(), None).unwrap();
+        let cand = &merged.files[0];
         let sweep = refinement_step(
             &db,
-            &cand,
+            cand,
             &r,
             &s,
             SpatialPredicate::Intersects,
@@ -370,11 +363,12 @@ mod tests {
                 mer_filter: false,
             },
             1 << 20,
+            None,
         )
         .unwrap();
         let naive = refinement_step(
             &db,
-            &cand,
+            cand,
             &r,
             &s,
             SpatialPredicate::Intersects,
@@ -383,6 +377,7 @@ mod tests {
                 mer_filter: false,
             },
             1 << 20,
+            None,
         )
         .unwrap();
         assert_eq!(sweep.pairs, naive.pairs);

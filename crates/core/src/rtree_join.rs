@@ -67,6 +67,7 @@ pub fn rtree_join(db: &Db, spec: &JoinSpec, config: &JoinConfig) -> StorageResul
             spec.predicate,
             &config.refine,
             config.work_mem_bytes,
+            None,
         )
     })?;
     candidates.destroy(db.pool());

@@ -16,7 +16,7 @@ use pbsm_rtree::query::window_query;
 use pbsm_rtree::RTree;
 use pbsm_storage::heap::HeapFile;
 use pbsm_storage::tuple::SpatialTuple;
-use pbsm_storage::{Db, Oid, Snapshot, StorageResult};
+use pbsm_storage::{Db, Oid, StorageResult};
 
 /// Result of a selection.
 pub struct SelectOutcome {
@@ -68,18 +68,6 @@ pub fn select_scan(db: &Db, relation: &str, window: &Rect) -> StorageResult<Sele
     ))
 }
 
-/// [`select_scan`] against a read snapshot — the serving-thread entry
-/// point. Scans never touch the catalog mutably, so this is pure
-/// delegation; the wrapper exists so worker code can be written entirely
-/// against [`Snapshot`].
-pub fn select_scan_at(
-    snap: Snapshot<'_>,
-    relation: &str,
-    window: &Rect,
-) -> StorageResult<SelectOutcome> {
-    select_scan(snap.db(), relation, window)
-}
-
 /// Selects via the relation's R\*-tree index (which must exist in the
 /// catalog): probe for candidates, then fetch and refine.
 pub fn select_index(db: &Db, relation: &str, window: &Rect) -> StorageResult<SelectOutcome> {
@@ -127,17 +115,6 @@ pub fn select_index(db: &Db, relation: &str, window: &Rect) -> StorageResult<Sel
         tracker,
         oids?,
     ))
-}
-
-/// [`select_index`] against a read snapshot. The index must already
-/// exist (the base entry point errors otherwise); nothing on this path
-/// writes the catalog.
-pub fn select_index_at(
-    snap: Snapshot<'_>,
-    relation: &str,
-    window: &Rect,
-) -> StorageResult<SelectOutcome> {
-    select_index(snap.db(), relation, window)
 }
 
 /// Shared tail of both strategies: close the root span, build and

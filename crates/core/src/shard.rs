@@ -65,7 +65,7 @@
 use crate::inl::inl_join_at;
 use crate::loader::{build_index, extract_entries, load_relation};
 use crate::partition::{TileGrid, TileMapScheme};
-use crate::pbsm::{pbsm_join_at, pbsm_join_resume};
+use crate::pbsm::{pbsm_join, pbsm_join_resume};
 use crate::rtree_join::rtree_join_at;
 use crate::{JoinConfig, JoinOutcome, JoinSpec, JoinStats};
 use pbsm_geom::Rect;
@@ -217,7 +217,7 @@ impl ShardedDbConfig {
 /// points of the serving layer).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardAlgorithm {
-    /// [`crate::pbsm::pbsm_join_at`].
+    /// [`crate::pbsm::pbsm_join`].
     Pbsm,
     /// [`crate::rtree_join::rtree_join_at`] (needs both indexes).
     RtreeJoin,
@@ -250,7 +250,7 @@ impl ShardAlgorithm {
         config: &JoinConfig,
     ) -> Result<JoinOutcome, StorageError> {
         match self {
-            ShardAlgorithm::Pbsm => pbsm_join_at(snap, spec, config),
+            ShardAlgorithm::Pbsm => pbsm_join(snap.db(), spec, config),
             ShardAlgorithm::RtreeJoin => rtree_join_at(snap, spec, config),
             ShardAlgorithm::Inl => inl_join_at(snap, spec, config),
         }

@@ -16,8 +16,8 @@
 //!   intersection both as a naive O(n·m) scan and as a plane sweep (the
 //!   paper reports the sweep saves 62 % of refinement cost), and polygon
 //!   containment honouring holes ([`predicates`]).
-//! * The **Hilbert** and **Z-order** space-filling curves used for spatial
-//!   sorting during bulk loads ([`hilbert`], [`zorder`]).
+//! * The **Hilbert** space-filling curve used for spatial sorting during
+//!   bulk loads ([`hilbert`]).
 //! * The MBR/MER multi-step refinement filter of \[BKSS94\] ([`mer`]).
 //!
 //! The kernel is dependency-free and deterministic; all coordinates are
@@ -35,7 +35,6 @@ pub mod rect;
 pub mod seg_sweep;
 pub mod segment;
 pub mod sweep;
-pub mod zorder;
 
 mod geometry;
 

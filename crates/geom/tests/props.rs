@@ -7,7 +7,6 @@
 use pbsm_geom::hilbert;
 use pbsm_geom::interval_tree::{Interval, IntervalTree};
 use pbsm_geom::sweep::{self, Tagged};
-use pbsm_geom::zorder;
 use pbsm_geom::{Point, Polyline, Rect};
 use proptest::prelude::*;
 
@@ -97,12 +96,6 @@ proptest! {
     fn hilbert_roundtrip(x in 0u32..65536, y in 0u32..65536) {
         let d = hilbert::xy_to_d(x, y);
         prop_assert_eq!(hilbert::d_to_xy(d), (x, y));
-    }
-
-    #[test]
-    fn zorder_roundtrip(x in 0u32..65536, y in 0u32..65536) {
-        let z = zorder::xy_to_z(x, y);
-        prop_assert_eq!(zorder::z_to_xy(z), (x, y));
     }
 
     /// Interval tree stabbing matches a linear scan under interleaved

@@ -20,7 +20,6 @@
 //! I/O counters exactly as in the paper's cost breakdowns.
 
 pub mod bulk;
-pub mod delete;
 pub mod insert;
 pub mod join;
 pub mod node;

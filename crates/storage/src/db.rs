@@ -339,8 +339,10 @@ impl Db {
     /// A read-only handle for a serving thread.
     ///
     /// `Snapshot` is `Copy + Send`: hand one to each worker in a
-    /// `thread::scope` and run the `*_at` query drivers
-    /// (`select_scan_at`, `pbsm_join_at`, …) against it concurrently.
+    /// `thread::scope` and run the query drivers against it concurrently —
+    /// the read-only ones (`select_scan`, `select_index`, `pbsm_join`)
+    /// through [`Snapshot::db`], the index joins through `inl_join_at` /
+    /// `rtree_join_at`, which refuse to build a missing index.
     /// The name states the contract, not an MVCC implementation: the
     /// serving layer is read-only over loaded-then-immutable relations
     /// (the paper's workload), so every read observes the same data and
@@ -433,8 +435,8 @@ impl<'a> Snapshot<'a> {
         self.db.disk_stats()
     }
 
-    /// The underlying handle, for the `*_at` query drivers that
-    /// delegate to the existing `&Db` entry points. Deliberately not
+    /// The underlying handle, for the `&Db` query drivers that never
+    /// write the catalog. Deliberately not
     /// `DerefMut`-style sugar: going through `db()` keeps mutation
     /// visibly impossible at the type level in snapshot code.
     pub fn db(&self) -> &'a Db {

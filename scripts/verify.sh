@@ -44,6 +44,9 @@ scripts/serve.sh --queries 120 --scale 0.02
 echo "==> shard smoke (K-shard scatter-gather vs oracle + single-shard crash sweep)"
 scripts/shard.sh
 
+echo "==> native benchmark selfcheck (offline build, answers vs brute force)"
+bash benchmark/run.sh --selfcheck
+
 echo "==> profile smoke (EXPLAIN ANALYZE + pbsm-profile-v1 schema validation)"
 PBSM_SCALE=0.02 cargo run -q --release -p pbsm-bench --bin profile_smoke
 test -s bench_results/profile_smoke.json

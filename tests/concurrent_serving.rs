@@ -17,9 +17,9 @@ use pbsm::geom::predicates::SpatialPredicate;
 use pbsm::geom::Rect;
 use pbsm::join::inl::inl_join_at;
 use pbsm::join::loader::{build_index, load_relation};
-use pbsm::join::pbsm::pbsm_join_at;
+use pbsm::join::pbsm::pbsm_join;
 use pbsm::join::rtree_join::rtree_join_at;
-use pbsm::join::select::{select_index_at, select_scan_at};
+use pbsm::join::select::{select_index, select_scan};
 use pbsm::join::{JoinConfig, JoinSpec};
 use pbsm::storage::{Db, DbConfig, Oid, ReplacementPolicy, Snapshot};
 
@@ -133,15 +133,15 @@ fn run_query(snap: Snapshot<'_>, jc: &JoinConfig, q: &Query) -> Answer {
             window,
         } => {
             let out = if *index {
-                select_index_at(snap, relation, window).unwrap()
+                select_index(snap.db(), relation, window).unwrap()
             } else {
-                select_scan_at(snap, relation, window).unwrap()
+                select_scan(snap.db(), relation, window).unwrap()
             };
             Answer::Oids(out.oids)
         }
         Query::Join { alg, spec } => {
             let out = match alg {
-                0 => pbsm_join_at(snap, spec, jc).unwrap(),
+                0 => pbsm_join(snap.db(), spec, jc).unwrap(),
                 1 => inl_join_at(snap, spec, jc).unwrap(),
                 _ => rtree_join_at(snap, spec, jc).unwrap(),
             };
@@ -249,9 +249,9 @@ fn snapshot_handles_share_one_pool() {
     let s2 = db.read_snapshot();
     let window = Rect::new(10.0, 10.0, 30.0, 30.0);
     let h0 = db.pool().stats().hits;
-    let a = select_scan_at(s1, "road", &window).unwrap();
+    let a = select_scan(s1.db(), "road", &window).unwrap();
     let h1 = db.pool().stats().hits;
-    let b = select_scan_at(s2, "road", &window).unwrap();
+    let b = select_scan(s2.db(), "road", &window).unwrap();
     let h2 = db.pool().stats().hits;
     assert_eq!(a.oids, b.oids);
     assert!(

@@ -336,3 +336,66 @@ fn pbsm_join_survives_a_crash_at_every_op() {
         "no crash point ever resumed a durable refinement run"
     );
 }
+
+/// A resumed attempt that fails after accepting its checkpoints must
+/// release them: here the very first journal append (the fresh
+/// `JoinBegin`) fails past the retry budget, and every pair and run file
+/// the recovered `JoinResume` names has to be dropped, not left allocated
+/// for the life of the `Db`.
+#[test]
+fn failed_resume_releases_accepted_checkpoints() {
+    let spec = JoinSpec::new("alpha", "beta", SpatialPredicate::Intersects);
+    let config = JoinConfig {
+        work_mem_bytes: 2048,
+        num_tiles: 16,
+        ..JoinConfig::default()
+    };
+    let db = build_join_db();
+    let before = db.pool().disk().total_ops();
+    let partitions = pbsm_join(&db, &spec, &config).unwrap().stats.partitions;
+    let window = db.pool().disk().total_ops() - before;
+
+    // Crash late enough — during the refinement sort — that the journal
+    // holds every pair and at least one run.
+    let (db, resume) = (0..window)
+        .rev()
+        .find_map(|crash_op| {
+            let db = build_join_db();
+            let metas = db.catalog().snapshot();
+            db.pool()
+                .disk_mut()
+                .set_faults(Some(FaultConfig::crash_at(97, crash_op)));
+            assert!(pbsm_join(&db, &spec, &config).is_err());
+            let cfg = db.config();
+            let (db2, state) = Db::recover(cfg, db.into_disk()).unwrap();
+            for meta in metas {
+                db2.catalog_mut().put_relation(meta);
+            }
+            let resume = state.join?;
+            (resume.pairs.len() == partitions && !resume.runs.is_empty()).then_some((db2, resume))
+        })
+        .expect("some crash point leaves pair and run checkpoints");
+
+    // Every write fails, in bursts longer than the retry policy absorbs.
+    db.pool().disk_mut().set_faults(Some(FaultConfig {
+        seed: 5,
+        write_transient_ppm: 1_000_000,
+        max_transient_burst: 16,
+        ..FaultConfig::default()
+    }));
+    let result = pbsm_join_resume(&db, &spec, &config, Some(&resume));
+    db.pool().disk_mut().set_faults(None);
+    assert!(
+        result.is_err(),
+        "the resumed join cannot journal its JoinBegin"
+    );
+    let disk = db.pool().disk();
+    let files = resume
+        .pairs
+        .iter()
+        .map(|pc| pc.file)
+        .chain(resume.runs.iter().map(|rc| rc.file));
+    for file in files {
+        assert!(disk.is_dropped(file), "checkpoint file {file:?} leaked");
+    }
+}
